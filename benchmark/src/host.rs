@@ -38,6 +38,12 @@ pub fn peak_rss_mb(pid: Option<u32>) -> f64 {
         .map_or(0.0, |kb| kb / 1024.0)
 }
 
+/// Restart the benchmark's own `VmHWM` from its current resident set
+/// (Linux 4.0 and later), so each round's peak is that round's alone.
+pub fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
 /// The 1-minute load average.
 pub fn load_average() -> f64 {
     std::fs::read_to_string("/proc/loadavg")

@@ -33,7 +33,6 @@ use snb_obs::trace::{self, NameId};
 use snb_obs::HistogramSnapshot;
 use snb_obs::Json;
 use snb_params::{curated_bindings, Bindings};
-use snb_queries::params::ShortQuery;
 use snb_queries::Engine;
 use snb_store::{Store, SyncPolicy};
 use std::collections::{BTreeMap, HashMap};
@@ -49,7 +48,7 @@ enum Shape {
     InProc,
     /// `updates_only` into a `StoreConnector` over a store with a WAL
     /// attached (flush policy `never`: fsync time measures the disk, not
-    /// the program), then reads on the store it wrote.
+    /// the program), then the curated reads on the store it wrote.
     Wal,
     /// Child `snb serve` processes on loopback: one server, or `shards`
     /// shards behind a `ShardedConnector`.
@@ -63,11 +62,11 @@ struct Workload {
     shape: Shape,
 }
 
-/// Scales are chosen so one replay takes one to four seconds on a 2-thread
+/// Scales are chosen so one replay takes one to eight seconds on a 2-thread
 /// host: a run then holds several rounds, each on its own dataset, and
-/// `setup_s` is a median. `mix_loopback` and `mix_2shard` are runnable by
-/// name but left out of `BENCHMARK.json`: on a shared 2-thread host their
-/// figures did not hold still across runs (see NOTES.md).
+/// `setup_s` is a median. `mix_loopback` is runnable by name but left out
+/// of `BENCHMARK.json`: on a shared 2-thread host its figures did not hold
+/// still across runs (see NOTES.md); `mix_2shard` runs the net layer too.
 const WORKLOADS: [Workload; 4] = [
     Workload { name: "mix_inproc", persons: 600, partitions: 2, shape: Shape::InProc },
     Workload { name: "updates_wal", persons: 2_000, partitions: 1, shape: Shape::Wal },
@@ -209,9 +208,18 @@ fn bench(args: &Args) -> Result<BenchResult, String> {
     let min_rounds = if args.trace { 4 } else { 3 };
     let mut rounds: Vec<Round> = Vec::new();
     let mut measured = 0.0;
-    while rounds.len() < min_rounds || measured < args.seconds {
-        let traced = args.trace && rounds.len() % 2 == 1;
-        let round = run_round(args, round_seed(args.seed, rounds.len() as u64), traced)?;
+    // A traced run ends on a whole pair of rounds.
+    while rounds.len() < min_rounds
+        || measured < args.seconds
+        || (args.trace && rounds.len() % 2 == 1)
+    {
+        // In a traced run, round 2k + 1 replays round 2k's dataset with the
+        // recorder on, so each pair compares one graph with and without it.
+        let (index, traced) = match args.trace {
+            true => (rounds.len() / 2, rounds.len() % 2 == 1),
+            false => (rounds.len(), false),
+        };
+        let round = run_round(args, round_seed(args.seed, index as u64), traced)?;
         measured += round.replay_s;
         let failed = round.error.is_some();
         rounds.push(round);
@@ -258,6 +266,7 @@ struct Sut {
 fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
     let wl = args.workload;
     let round_start_us = trace::now_micros();
+    host::reset_peak_rss();
     if traced {
         trace::enable(1);
     }
@@ -329,9 +338,7 @@ fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
     layers.insert("params.curate_s".into(), curate_s);
     layers.insert("driver.build_mix_s".into(), build_mix_s);
     layers.insert("store.bulk_load_s".into(), bulk_load_s);
-    if let Shape::Remote { .. } = wl.shape {
-        layers.insert("net.server.ready_s".into(), servers_ready_s);
-    }
+    layers.insert("net.server.ready_s".into(), servers_ready_s);
 
     // ---- replay ----
     let all_items = items.len() + read_items.len();
@@ -378,12 +385,8 @@ fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
     let main_samples: u64 = main_slots.iter().map(|s| s.len() as u64).sum();
     let samples: Vec<Sample> = main_slots.iter().chain(&read_slots).flatten().copied().collect();
     let scheduled = all_items as u64;
-    let scheduled_shorts =
-        read_items.iter().filter(|w| matches!(w.op, Operation::Short(_))).count() as u64;
-    // Saturating: a replay that failed may not have reached its scheduled
-    // short reads.
-    let walk_shorts = (samples.iter().filter(|s| s.class() == Class::Short).count() as u64)
-        .saturating_sub(scheduled_shorts);
+    // No workload schedules short reads: every one comes from the walk.
+    let walk_shorts = samples.iter().filter(|s| s.class() == Class::Short).count() as u64;
     let executed = samples.len() as u64 - walk_shorts;
     let (mut sim_ms, mut replay_wall_s) = (0.0, 0.0);
     let checked = match &outcome {
@@ -394,9 +397,7 @@ fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
             let histograms = merged_histograms(&report.connector_histograms);
             layer_metrics(&mut layers, wl, report, &counters, &histograms, &main_slots, &samples);
             layers.insert("driver.cpu_s".into(), cpu_s);
-            if sut.servers.is_some() {
-                layers.insert("net.server.cpu_s".into(), server_cpu_s);
-            }
+            layers.insert("net.server.cpu_s".into(), server_cpu_s);
             check_sut(&sut, &bindings, &items, &counters)
         }
         Err(e) => Err(format!("replay failed after {main_samples} calls: {e}")),
@@ -443,36 +444,17 @@ fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
 }
 
 /// The updates_wal read phase, run on the store the WAL pipeline just
-/// wrote: every curated binding once (the driver adds its short-read walk),
-/// then S1–S3 at each binding's anchor person and S4–S7 at as many messages
-/// spread over the dataset, so both read classes have the samples a p99
-/// needs. Not part of that workload's `accel_x`.
+/// wrote: every curated binding once, with the short-read walk the driver
+/// adds after each. Not part of that workload's `accel_x`.
 fn post_replay_reads(ds: &Dataset, bindings: &Bindings) -> Vec<WorkItem> {
-    let item = |op: Operation| WorkItem {
-        due: SimTime(ds.config.end.0 + 1),
-        dep: SimTime(0),
-        partition_hint: match &op {
-            Operation::Complex(q) => anchor_person(q).map_or(0, |p| p.raw()),
-            Operation::Short(s) => s.number() as u64,
-            Operation::Update(_) => 0,
-        },
-        op,
-    };
-    let complex: Vec<_> = (1..=14).flat_map(|q| bindings.all(q).iter().cloned()).collect();
-    let persons: Vec<_> = complex.iter().filter_map(anchor_person).collect();
-    let step = (ds.message_count() / persons.len().max(1)).max(1);
-    let messages = ds.message_routes().step_by(step).take(persons.len()).map(|(m, _)| m);
-    let short = persons
-        .iter()
-        .flat_map(|&p| [ShortQuery::S1(p), ShortQuery::S2(p), ShortQuery::S3(p)])
-        .chain(messages.flat_map(|m| {
-            [ShortQuery::S4(m), ShortQuery::S5(m), ShortQuery::S6(m), ShortQuery::S7(m)]
-        }));
-    complex
-        .into_iter()
-        .map(Operation::Complex)
-        .chain(short.map(Operation::Short))
-        .map(item)
+    (1..=14)
+        .flat_map(|q| bindings.all(q).iter().cloned())
+        .map(|q| WorkItem {
+            due: SimTime(ds.config.end.0 + 1),
+            dep: SimTime(0),
+            partition_hint: anchor_person(&q).map_or(0, |p| p.raw()),
+            op: Operation::Complex(q),
+        })
         .collect()
 }
 
@@ -595,11 +577,8 @@ fn layer_metrics(
     // against the rest, on every shape.
     set("net.router.scatter.busy_s", busy(&|s| s.class() != Class::Update && s.scatters));
     set("net.router.routed.busy_s", busy(&|s| s.class() != Class::Update && !s.scatters));
-    if !matches!(wl.shape, Shape::Remote { .. }) {
-        return;
-    }
 
-    // net
+    // net: the counters and histograms exist on the remote shapes only.
     let mean_of = |name: &str| histograms.get(name).map_or(0.0, |h| h.mean());
     let rtt = mean_of("net.client.request_micros");
     let service = mean_of("net.server.request_micros");
@@ -682,7 +661,7 @@ fn span_self_times(since_us: u64, sample_every: f64) -> BTreeMap<String, f64> {
 /// `store.stage.validate_failed` (conflicts only) and `driver.gct_wait`
 /// (rare enough that sampled roots seldom catch one; `driver.gct_wait_s`
 /// has the exact total).
-const SELF_TIME_SPANS: [&str; 16] = [
+const SELF_TIME_SPANS: [&str; 19] = [
     "bench.generate",
     "bench.curate",
     "bench.build_mix",
@@ -699,15 +678,15 @@ const SELF_TIME_SPANS: [&str; 16] = [
     "store.read.ladder_merge",
     "store.read.recent_walk",
     "op",
+    // Opened by the remote shapes only.
+    "bench.servers_ready",
+    "net.client.request",
+    "server.execute",
 ];
-
-/// Spans only the remote shapes open.
-const REMOTE_SPANS: [&str; 3] = ["bench.servers_ready", "net.client.request", "server.execute"];
 
 fn self_time_layer(span: &str) -> Option<String> {
     let name = if span.starts_with("op.") { "op" } else { span };
-    (SELF_TIME_SPANS.contains(&name) || REMOTE_SPANS.contains(&name))
-        .then(|| format!("trace.self.{name}_s"))
+    SELF_TIME_SPANS.contains(&name).then(|| format!("trace.self.{name}_s"))
 }
 
 // ---- reporting ----
@@ -803,7 +782,7 @@ fn layer_unit(name: &str) -> &'static str {
     }
 }
 
-fn per_layer(rounds: &[Round], shape: Shape) -> Vec<Metric> {
+fn per_layer(rounds: &[Round]) -> Vec<Metric> {
     let plain: Vec<&Round> = rounds.iter().filter(|r| !r.traced).collect();
     let traced: Vec<&Round> = rounds.iter().filter(|r| r.traced).collect();
     let mut out = Vec::new();
@@ -812,21 +791,17 @@ fn per_layer(rounds: &[Round], shape: Shape) -> Vec<Metric> {
         let values: Vec<f64> = plain.iter().filter_map(|r| r.layers.get(name).copied()).collect();
         out.push(median_metric(name, layer_unit(name), &values));
     }
-    let remote: &[&str] = if matches!(shape, Shape::Remote { .. }) { &REMOTE_SPANS } else { &[] };
-    for name in SELF_TIME_SPANS.iter().chain(remote).filter_map(|s| self_time_layer(s)) {
+    for name in SELF_TIME_SPANS.iter().filter_map(|s| self_time_layer(s)) {
         let values: Vec<f64> =
             traced.iter().map(|r| r.self_s.get(&name).copied().unwrap_or(0.0)).collect();
         out.push(median_metric(&name, "s", &values));
     }
-    let accel = |rs: &[&Round]| accel_x(rs).value;
-    let overhead = (ratio(accel(&plain), accel(&traced)) - 1.0) * 100.0;
-    out.push(Metric {
-        name: "trace.overhead_pct".into(),
-        unit: "%",
-        value: overhead,
-        samples: traced.len(),
-        percentile: None,
-    });
+    // Per pair of rounds on one dataset, untraced against traced.
+    let overheads: Vec<f64> = rounds
+        .chunks_exact(2)
+        .map(|pair| (ratio(accel_x(&[&pair[0]]).value, accel_x(&[&pair[1]]).value) - 1.0) * 100.0)
+        .collect();
+    out.push(median_metric("trace.overhead_pct", "%", &overheads));
     out
 }
 
@@ -839,11 +814,8 @@ fn summarize(args: &Args, rounds: &[Round], host: Json) -> BenchResult {
     let scheduled: u64 = rounds.iter().map(|r| r.scheduled).sum();
     let executed: u64 = rounds.iter().map(|r| r.executed).sum();
     let walk: u64 = rounds.iter().map(|r| r.walk_shorts).sum();
-    let metrics = if args.trace {
-        per_layer(rounds, args.workload.shape)
-    } else {
-        end_to_end(&rounds.iter().collect::<Vec<_>>())
-    };
+    let metrics =
+        if args.trace { per_layer(rounds) } else { end_to_end(&rounds.iter().collect::<Vec<_>>()) };
     let wl = args.workload;
     let detail = Json::obj([
         ("workload", Json::from(wl.name)),

@@ -34,8 +34,7 @@ impl Servers {
         shards: u32,
     ) -> Result<Servers, String> {
         let mut servers = Servers { servers: Vec::new() };
-        for i in 0..shards {
-            let addr = free_port()?;
+        for (i, addr) in free_ports(shards)?.into_iter().enumerate() {
             let stderr = work.join(format!("serve{i}.err"));
             let mut cmd = Command::new(snb);
             cmd.args(["serve", "--persons", &persons.to_string(), "--seed", &seed.to_string()])
@@ -127,14 +126,34 @@ impl Drop for Servers {
     }
 }
 
-/// A loopback address whose port was free a moment ago.
-fn free_port() -> Result<SocketAddr, String> {
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
-    listener.local_addr().map_err(|e| format!("local_addr: {e}"))
+/// `n` distinct loopback addresses whose ports were free a moment ago. All
+/// `n` are held at once: a port released before the next is picked may be
+/// handed out again, and two servers given one port leave one of them
+/// unable to listen while the other answers for both.
+fn free_ports(n: u32) -> Result<Vec<SocketAddr>, String> {
+    let listeners = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    listeners.iter().map(|l| l.local_addr().map_err(|e| format!("local_addr: {e}"))).collect()
 }
 
 fn stderr_tail(path: &Path) -> String {
     let text = std::fs::read_to_string(path).unwrap_or_default();
     let lines: Vec<&str> = text.lines().collect();
     lines[lines.len().saturating_sub(20)..].join("\n")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn free_ports_are_distinct() {
+        for _ in 0..50 {
+            let mut ports: Vec<u16> = free_ports(4).unwrap().iter().map(|a| a.port()).collect();
+            ports.sort_unstable();
+            ports.dedup();
+            assert_eq!(ports.len(), 4);
+        }
+    }
 }
