@@ -52,6 +52,33 @@ pub fn load_average() -> f64 {
         .unwrap_or(f64::NAN)
 }
 
+/// Restrict the calling thread, and every thread and process it starts
+/// from now on, to the first CPU it may run on; return that CPU.
+pub fn pin_to_first_cpu() -> Result<usize, String> {
+    // A glibc `cpu_set_t`: 1024 bits.
+    const WORDS: usize = 16;
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+    }
+    let size = WORDS * std::mem::size_of::<u64>();
+    let mut mask = [0u64; WORDS];
+    // SAFETY: `mask` is `size` writable bytes; pid 0 is the calling thread.
+    if unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) } != 0 {
+        return Err(format!("sched_getaffinity: {}", std::io::Error::last_os_error()));
+    }
+    let cpu = (0..WORDS * 64)
+        .find(|&i| mask[i / 64] >> (i % 64) & 1 == 1)
+        .ok_or("sched_getaffinity: no CPU allowed")?;
+    let mut one = [0u64; WORDS];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is `size` readable bytes; pid 0 is the calling thread.
+    if unsafe { sched_setaffinity(0, size, one.as_ptr()) } != 0 {
+        return Err(format!("sched_setaffinity: {}", std::io::Error::last_os_error()));
+    }
+    Ok(cpu)
+}
+
 pub fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -79,11 +106,13 @@ fn rustc_version() -> Option<String> {
     out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
 }
 
-/// Host facts that do not change during a run.
-pub fn envelope(load_start: f64, load_end: f64) -> Json {
+/// Host facts that do not change during a run; `nproc` as read before the
+/// benchmark pinned itself to `cpu`, if it did.
+pub fn envelope(nproc: usize, cpu: Option<usize>, load_start: f64, load_end: f64) -> Json {
     let opt = |v: Option<String>| v.map_or(Json::Null, Json::from);
     Json::obj([
-        ("nproc", Json::from(nproc())),
+        ("nproc", Json::from(nproc)),
+        ("pinned_cpu", cpu.map_or(Json::Null, Json::from)),
         ("git_rev", opt(git_rev())),
         ("rustc", opt(rustc_version())),
         ("loadavg_1m_start", Json::from(load_start)),

@@ -7,19 +7,21 @@
 //! snb-benchmark --workload NAME --seed N --seconds S --trace 0|1 [--snb PATH]
 //! ```
 //!
-//! A run repeats rounds — fresh set-up, one replay, the output check —
-//! until `--seconds` of replay time have been measured. It prints one
-//! detail line (host envelope, sample counts, effective percentiles) and,
-//! last, the result line. `--trace 0` reports the end-to-end metrics;
-//! `--trace 1` alternates untraced and traced rounds and reports the
-//! per-layer metrics. Every layer is timed from outside, at the calls the
+//! A run repeats rounds — fresh set-up, a host-speed calibration, one
+//! replay, the output check — until `--seconds` of replay time have been
+//! measured. It prints one detail line (host envelope, sample counts,
+//! effective percentiles) and, last, the result line. `--trace 0` reports
+//! the end-to-end metrics; `--trace 1` alternates untraced and traced
+//! rounds and reports the per-layer metrics. Every layer is timed from outside, at the calls the
 //! benchmark makes into each crate's public API.
 
+mod calib;
 mod check;
 mod host;
 mod probe;
 mod servers;
 mod stats;
+mod steal;
 
 use probe::{Class, Probe, Sample};
 use servers::Servers;
@@ -36,10 +38,12 @@ use snb_params::{curated_bindings, Bindings};
 use snb_queries::Engine;
 use snb_store::{Store, SyncPolicy};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
+use steal::Timeline;
 
 /// Where the SUT runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +55,8 @@ enum Shape {
     /// the program), then the curated reads on the store it wrote.
     Wal,
     /// Child `snb serve` processes on loopback: one server, or `shards`
-    /// shards behind a `ShardedConnector`.
+    /// shards behind a `ShardedConnector`; servers and benchmark share one
+    /// CPU (see [`WORKLOADS`]).
     Remote { shards: u32 },
 }
 
@@ -62,23 +67,25 @@ struct Workload {
     shape: Shape,
 }
 
-/// Scales are chosen so one replay takes one to eight seconds on a 2-thread
-/// host: a run then holds several rounds, each on its own dataset, and
-/// `setup_s` is a median. `mix_loopback` is runnable by name but left out
-/// of `BENCHMARK.json`: on a shared 2-thread host its figures did not hold
-/// still across runs (see NOTES.md); `mix_2shard` runs the net layer too.
+/// Scales are chosen so one replay takes about one to three seconds on a
+/// 2-thread host: a run then holds ten or more rounds, each on its own
+/// dataset, and `setup_s` is a median. The remote shapes run on one CPU:
+/// on a shared virtual machine, every wake-up of an idle virtual CPU waits
+/// for the hypervisor, and a loopback round trip wakes one several times
+/// (see NOTES.md). `mix_loopback` is runnable by name but left out of
+/// `BENCHMARK.json`; `mix_2shard` runs the net layer too.
 const WORKLOADS: [Workload; 4] = [
     Workload { name: "mix_inproc", persons: 600, partitions: 2, shape: Shape::InProc },
-    Workload { name: "updates_wal", persons: 2_000, partitions: 1, shape: Shape::Wal },
+    Workload { name: "updates_wal", persons: 1_000, partitions: 1, shape: Shape::Wal },
     Workload {
         name: "mix_loopback",
-        persons: 500,
+        persons: 250,
         partitions: 2,
         shape: Shape::Remote { shards: 1 },
     },
     Workload {
         name: "mix_2shard",
-        persons: 500,
+        persons: 250,
         partitions: 1,
         shape: Shape::Remote { shards: 2 },
     },
@@ -89,6 +96,12 @@ const WORKLOADS: [Workload; 4] = [
 /// tenants, a percentile pooled over a whole run mostly measured whether a
 /// neighbour's burst happened to land in it.
 const TAIL_CHUNK: usize = 2_000;
+
+/// Most steal a stretch of a run may show and still be measured: the share
+/// of the machine's CPU time the hypervisor gave to other guests. With two
+/// CPUs sampled every 100 ms, one stolen 10 ms tick in a period is 5 %, so
+/// this admits the periods with none. See [`stats::least_disturbed`].
+const STEAL_LIMIT: f64 = 0.02;
 
 /// Curated bindings per complex query, as `snb run` uses.
 const BINDINGS_PER_QUERY: usize = 16;
@@ -180,15 +193,20 @@ struct Round {
     /// Simulated span and wall time of the replay `accel_x` is taken over.
     sim_ms: f64,
     replay_wall_s: f64,
-    /// All replay time of the round, including the updates_wal read phase.
+    /// All replay time of the round, including the updates_wal read phase,
+    /// and its start and end on the [`steal::ns_at`] clock.
     replay_s: f64,
+    replay_ns: (u64, u64),
     /// Work items scheduled, and those executed; short reads the walk added.
     scheduled: u64,
     executed: u64,
     walk_shorts: u64,
+    /// Every timed call, in the order the calls returned.
     samples: Vec<Sample>,
     cpu_s: f64,
     peak_rss_mb: f64,
+    /// The host's [`calib::Kernel::slowness`] just before the replay.
+    slowness: f64,
     layers: BTreeMap<String, f64>,
     /// Self time per span name, seconds (traced rounds only).
     self_s: BTreeMap<String, f64>,
@@ -205,6 +223,13 @@ struct BenchResult {
 fn bench(args: &Args) -> Result<BenchResult, String> {
     std::fs::create_dir_all(&args.work).map_err(|e| format!("{}: {e}", args.work.display()))?;
     let load_start = host::load_average();
+    let monitor = steal::Monitor::start();
+    let nproc = host::nproc();
+    let pinned = match args.workload.shape {
+        Shape::Remote { .. } => Some(host::pin_to_first_cpu()?),
+        _ => None,
+    };
+    let kernel = calib::Kernel::new();
     let min_rounds = if args.trace { 4 } else { 3 };
     let mut rounds: Vec<Round> = Vec::new();
     let mut measured = 0.0;
@@ -219,7 +244,7 @@ fn bench(args: &Args) -> Result<BenchResult, String> {
             true => (rounds.len() / 2, rounds.len() % 2 == 1),
             false => (rounds.len(), false),
         };
-        let round = run_round(args, round_seed(args.seed, index as u64), traced)?;
+        let round = run_round(args, &kernel, round_seed(args.seed, index as u64), traced)?;
         measured += round.replay_s;
         let failed = round.error.is_some();
         rounds.push(round);
@@ -228,7 +253,8 @@ fn bench(args: &Args) -> Result<BenchResult, String> {
         }
     }
     let load_end = host::load_average();
-    Ok(summarize(args, &rounds, host::envelope(load_start, load_end)))
+    let steal = monitor.finish();
+    Ok(summarize(args, &rounds, &steal, host::envelope(nproc, pinned, load_start, load_end)))
 }
 
 /// The dataset seed of round `round`. Each round generates its own dataset,
@@ -263,7 +289,12 @@ struct Sut {
     servers: Option<Servers>,
 }
 
-fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
+fn run_round(
+    args: &Args,
+    kernel: &calib::Kernel,
+    seed: u64,
+    traced: bool,
+) -> Result<Round, String> {
     let wl = args.workload;
     let round_start_us = trace::now_micros();
     host::reset_peak_rss();
@@ -334,6 +365,7 @@ fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
         }
     };
     let setup_s = t0.elapsed().as_secs_f64();
+    let slowness = kernel.slowness();
     layers.insert("datagen.generate_s".into(), generate_s);
     layers.insert("params.curate_s".into(), curate_s);
     layers.insert("driver.build_mix_s".into(), build_mix_s);
@@ -355,6 +387,7 @@ fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
     let server_cpu0 = sut.servers.as_ref().map_or(Vec::new(), Servers::cpu_seconds);
     let cpu0 = host::cpu_seconds(None);
     let replay_t0 = Instant::now();
+    let replay_from_ns = steal::ns_at(replay_t0);
     let probe = Probe::new(sut.conn.as_ref());
     let mut outcome = run(&items, &probe, &driver_config);
     let main_slots = probe.into_samples();
@@ -365,7 +398,9 @@ fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
         read_slots = probe.into_samples();
         outcome = outcome.and_then(|main| reads.map(|reads| with_reads_of(main, reads)));
     }
-    let replay_s = replay_t0.elapsed().as_secs_f64();
+    let replay_end = Instant::now();
+    let replay_s = replay_end.duration_since(replay_t0).as_secs_f64();
+    let replay_ns = (replay_from_ns, steal::ns_at(replay_end));
     let cpu_s = host::cpu_seconds(None) - cpu0;
     let server_cpu_s: f64 = sut
         .servers
@@ -383,7 +418,9 @@ fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
     };
 
     let main_samples: u64 = main_slots.iter().map(|s| s.len() as u64).sum();
-    let samples: Vec<Sample> = main_slots.iter().chain(&read_slots).flatten().copied().collect();
+    let mut samples: Vec<Sample> =
+        main_slots.iter().chain(&read_slots).flatten().copied().collect();
+    samples.sort_by_key(|s| s.end_ns);
     let scheduled = all_items as u64;
     // No workload schedules short reads: every one comes from the walk.
     let walk_shorts = samples.iter().filter(|s| s.class() == Class::Short).count() as u64;
@@ -431,11 +468,13 @@ fn run_round(args: &Args, seed: u64, traced: bool) -> Result<Round, String> {
         sim_ms,
         replay_wall_s,
         replay_s,
+        replay_ns,
         scheduled,
         executed,
         walk_shorts,
         samples,
         cpu_s: cpu_s + server_cpu_s,
+        slowness,
         peak_rss_mb,
         layers,
         self_s,
@@ -699,6 +738,10 @@ struct Metric {
     /// for medians.
     samples: usize,
     percentile: Option<f64>,
+    /// Stretches of the run the value was taken over, of all there were:
+    /// rounds for `accel_x` and `cpu_ms_per_kop`, runs of [`TAIL_CHUNK`]
+    /// calls for percentiles (see [`STEAL_LIMIT`]).
+    measured: Option<(usize, usize)>,
 }
 
 fn median_metric(name: &str, unit: &'static str, values: &[f64]) -> Metric {
@@ -708,6 +751,7 @@ fn median_metric(name: &str, unit: &'static str, values: &[f64]) -> Metric {
         value: stats::median(values).unwrap_or(0.0),
         samples: values.len(),
         percentile: None,
+        measured: None,
     }
 }
 
@@ -727,6 +771,7 @@ fn pooled_metric(
         value: ratio(num, den),
         samples: rounds.len(),
         percentile: None,
+        measured: None,
     }
 }
 
@@ -734,33 +779,59 @@ fn accel_x(rounds: &[&Round]) -> Metric {
     pooled_metric("accel_x", "x", rounds, |r| (r.sim_ms, r.replay_wall_s * 1e3))
 }
 
-fn end_to_end(rounds: &[&Round]) -> Vec<Metric> {
-    let per_round = |f: fn(&Round) -> f64| rounds.iter().map(|r| f(r)).collect::<Vec<_>>();
-    let mut out = vec![median_metric("setup_s", "s", &per_round(|r| r.setup_s)), accel_x(rounds)];
+/// The end-to-end metrics. Where the host is shared, two things set each
+/// figure apart from the program. The hypervisor's steal: `accel_x` and
+/// `cpu_ms_per_kop` pool only the rounds, and each percentile only the
+/// runs of calls, that [`stats::least_disturbed`] picks by their steal
+/// share. The host's speed: with `calibrated`, every time is divided by
+/// the run's slowness, the median over its rounds of
+/// [`calib::Kernel::slowness`] (the host drifts over minutes; one reading
+/// is noisier than that), raised to [`calib::SENSITIVITY`]. `setup_s` and
+/// `peak_rss_mb` are medians over all rounds.
+fn end_to_end(rounds: &[&Round], steal: &Timeline, calibrated: bool) -> Vec<Metric> {
+    let slowness = match calibrated {
+        true => stats::median(&rounds.iter().map(|r| r.slowness).collect::<Vec<_>>()),
+        false => None,
+    }
+    .map_or(1.0, |s| s.powf(calib::SENSITIVITY));
+    let round_steal: Vec<f64> =
+        rounds.iter().map(|r| steal.share(r.replay_ns.0, r.replay_ns.1)).collect();
+    let keep = stats::least_disturbed(&round_steal, STEAL_LIMIT);
+    let quiet: Vec<&Round> =
+        rounds.iter().zip(&keep).filter(|(_, &k)| k).map(|(&r, _)| r).collect();
+    let measured = Some((quiet.len(), rounds.len()));
+    let setup: Vec<f64> = rounds.iter().map(|r| r.setup_s / slowness).collect();
+    let accel =
+        pooled_metric("accel_x", "x", &quiet, |r| (r.sim_ms, r.replay_wall_s * 1e3 / slowness));
+    let mut out = vec![median_metric("setup_s", "s", &setup), Metric { measured, ..accel }];
     for class in Class::ALL {
-        // In the order the calls completed: round by round, and within a
-        // round thread by thread.
-        let nanos: Vec<u64> = rounds
-            .iter()
-            .flat_map(|r| &r.samples)
-            .filter(|s| s.class() == class)
-            .map(|s| s.nanos)
-            .collect();
+        // In the order the calls returned, round by round.
+        let calls: Vec<&Sample> =
+            rounds.iter().flat_map(|r| &r.samples).filter(|s| s.class() == class).collect();
+        let nanos: Vec<u64> =
+            calls.iter().map(|s| (s.nanos as f64 / slowness).round() as u64).collect();
+        let stolen = |run: Range<usize>| {
+            let (first, last) = (calls[run.start], calls[run.end - 1]);
+            steal.share(first.end_ns.saturating_sub(first.nanos), last.end_ns)
+        };
         for want in [50.0, 99.0] {
-            let q = stats::chunked_quantile(&nanos, TAIL_CHUNK, want);
+            let c = stats::chunked_quantile(&nanos, TAIL_CHUNK, want, STEAL_LIMIT, stolen);
             out.push(Metric {
                 name: format!("{}_p{}_us", class.name(), want as u32),
                 unit: "us",
-                value: q.map_or(0.0, |q| q.value as f64 / 1e3),
+                value: c.map_or(0.0, |c| c.quantile.value as f64 / 1e3),
                 samples: nanos.len(),
-                percentile: q.map(|q| q.percentile),
+                percentile: c.map(|c| c.quantile.percentile),
+                measured: c.map(|c| (c.kept, c.runs)),
             });
         }
     }
-    out.push(pooled_metric("cpu_ms_per_kop", "ms/kop", rounds, |r| {
-        (r.cpu_s * 1e3, r.samples.len() as f64 / 1e3)
-    }));
-    out.push(median_metric("peak_rss_mb", "MiB", &per_round(|r| r.peak_rss_mb)));
+    let cpu = pooled_metric("cpu_ms_per_kop", "ms/kop", &quiet, |r| {
+        (r.cpu_s * 1e3 / slowness, r.samples.len() as f64 / 1e3)
+    });
+    out.push(Metric { measured, ..cpu });
+    let rss: Vec<f64> = rounds.iter().map(|r| r.peak_rss_mb).collect();
+    out.push(median_metric("peak_rss_mb", "MiB", &rss));
     out
 }
 
@@ -805,7 +876,7 @@ fn per_layer(rounds: &[Round]) -> Vec<Metric> {
     out
 }
 
-fn summarize(args: &Args, rounds: &[Round], host: Json) -> BenchResult {
+fn summarize(args: &Args, rounds: &[Round], steal: &Timeline, host: Json) -> BenchResult {
     let errors: Vec<&String> = rounds.iter().filter_map(|r| r.error.as_ref()).collect();
     for e in &errors {
         eprintln!("snb-benchmark: {e}");
@@ -814,8 +885,12 @@ fn summarize(args: &Args, rounds: &[Round], host: Json) -> BenchResult {
     let scheduled: u64 = rounds.iter().map(|r| r.scheduled).sum();
     let executed: u64 = rounds.iter().map(|r| r.executed).sum();
     let walk: u64 = rounds.iter().map(|r| r.walk_shorts).sum();
-    let metrics =
-        if args.trace { per_layer(rounds) } else { end_to_end(&rounds.iter().collect::<Vec<_>>()) };
+    let all: Vec<&Round> = rounds.iter().collect();
+    let (metrics, raw) = if args.trace {
+        (per_layer(rounds), Vec::new())
+    } else {
+        (end_to_end(&all, steal, true), end_to_end(&all, steal, false))
+    };
     let wl = args.workload;
     let detail = Json::obj([
         ("workload", Json::from(wl.name)),
@@ -825,17 +900,30 @@ fn summarize(args: &Args, rounds: &[Round], host: Json) -> BenchResult {
         ("trace", Json::from(args.trace)),
         ("rounds", Json::from(rounds.len())),
         ("replay_s", Json::arr(rounds.iter().map(|r| Json::from(r.replay_s)))),
+        ("accel_x", Json::arr(rounds.iter().map(|r| Json::from(accel_x(&[r]).value)))),
+        ("slowness", Json::arr(rounds.iter().map(|r| Json::from(r.slowness)))),
+        (
+            "steal_share",
+            Json::arr(rounds.iter().map(|r| Json::from(steal.share(r.replay_ns.0, r.replay_ns.1)))),
+        ),
         ("host", host),
         (
             "metrics",
-            Json::obj(metrics.iter().map(|m| {
+            Json::obj(metrics.iter().enumerate().map(|(i, m)| {
                 let mut o = Json::obj([
                     ("value", Json::from(m.value)),
                     ("unit", Json::from(m.unit)),
                     ("samples", Json::from(m.samples)),
                 ]);
+                // The same figure before calibration (end-to-end only).
+                if let Some(uncalibrated) = raw.get(i) {
+                    o.push_field("uncalibrated", uncalibrated.value);
+                }
                 if let Some(p) = m.percentile {
                     o.push_field("percentile", p);
+                }
+                if let Some((kept, of)) = m.measured {
+                    o.push_field("measured", Json::arr([Json::from(kept), Json::from(of)]));
                 }
                 (m.name.clone(), o)
             })),

@@ -2,6 +2,7 @@
 //! with nanosecond resolution from outside the program, and delegates
 //! everything else untouched.
 
+use crate::steal;
 use snb_core::SnbResult;
 use snb_driver::connector::{OpOutcome, PartialOutcome};
 use snb_driver::{Connector, OpKind, Operation};
@@ -41,6 +42,8 @@ pub struct Sample {
     /// (`snb_queries::sharded::scatters` / `scatters_short`).
     pub scatters: bool,
     pub nanos: u64,
+    /// When the call returned, on the [`steal::ns_at`] clock.
+    pub end_ns: u64,
 }
 
 impl Sample {
@@ -121,9 +124,11 @@ impl Connector for Probe<'_> {
         let _span = trace::span(&SPAN_EXECUTE);
         let t0 = Instant::now();
         let outcome = self.inner.execute(op);
-        let nanos = t0.elapsed().as_nanos() as u64;
+        let end = Instant::now();
+        let nanos = end.duration_since(t0).as_nanos() as u64;
         if outcome.is_ok() {
-            let sample = Sample { kind: op.kind(), scatters: scatters(op), nanos };
+            let end_ns = steal::ns_at(end);
+            let sample = Sample { kind: op.kind(), scatters: scatters(op), nanos, end_ns };
             self.slot().lock().expect("probe slot poisoned").push(sample);
         }
         outcome

@@ -3,6 +3,7 @@
 
 use snb_obs::trace::SpanData;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Fewest samples that must lie beyond a reported percentile. A p99 over
 /// 300 samples rests on 3 values; the benchmark reports the highest
@@ -42,16 +43,43 @@ pub fn quantile(sorted: &[u64], want: f64) -> Option<Quantile> {
     Some(Quantile { value, percentile, samples: sorted.len() })
 }
 
-/// A percentile that a burst of interference cannot move: `samples`, in
-/// the order the calls completed, is cut into runs of `chunk` consecutive
-/// calls (a short remainder joins the last run), each run's percentile is
-/// taken under the [`tail_percentile`] rule, and the median over the runs
-/// is reported. With fewer than `2 * chunk` samples this is the plain
-/// percentile of all of them. The reported percentile is the lowest any
-/// run allowed; the sample count is the total.
-pub fn chunked_quantile(samples: &[u64], chunk: usize, want: f64) -> Option<Quantile> {
+/// Which of `n` stretches of a run to measure, given the share of CPU time
+/// the hypervisor stole during each (`steal[i]`): every stretch at or under
+/// `limit`, or, when those are fewer than half, the least-stolen half.
+/// A host that steals throughout still leaves the quietest half measured.
+pub fn least_disturbed(steal: &[f64], limit: f64) -> Vec<bool> {
+    let mut keep: Vec<bool> = steal.iter().map(|&s| s <= limit).collect();
+    let half = steal.len().div_ceil(2);
+    if keep.iter().filter(|&&k| k).count() < half {
+        let mut order: Vec<usize> = (0..steal.len()).collect();
+        order.sort_by(|&a, &b| steal[a].total_cmp(&steal[b]).then(a.cmp(&b)));
+        keep = vec![false; steal.len()];
+        for &i in &order[..half] {
+            keep[i] = true;
+        }
+    }
+    keep
+}
+
+/// A percentile that interference cannot move: `samples`, in the order
+/// the calls completed, is cut into runs of `chunk` consecutive calls (a
+/// short remainder joins the last run); each run's percentile is taken
+/// under the [`tail_percentile`] rule; runs are chosen by
+/// [`least_disturbed`] from `steal(range)`, the steal share while that run
+/// of calls executed; and the median over the chosen runs is reported. With
+/// fewer than `2 * chunk` samples this is the plain percentile of all of
+/// them. The reported percentile is the lowest any run allowed; the sample
+/// count is the total.
+pub fn chunked_quantile(
+    samples: &[u64],
+    chunk: usize,
+    want: f64,
+    limit: f64,
+    steal: impl Fn(Range<usize>) -> f64,
+) -> Option<Chunked> {
     let runs = (samples.len() / chunk.max(1)).max(1);
     let mut values = Vec::with_capacity(runs);
+    let mut shares = Vec::with_capacity(runs);
     let mut percentile = want;
     for i in 0..runs {
         let end = if i + 1 == runs { samples.len() } else { (i + 1) * chunk };
@@ -59,10 +87,25 @@ pub fn chunked_quantile(samples: &[u64], chunk: usize, want: f64) -> Option<Quan
         run.sort_unstable();
         let q = quantile(&run, want)?;
         values.push(q.value as f64);
+        shares.push(steal(i * chunk..end));
         percentile = percentile.min(q.percentile);
     }
-    let value = median(&values)?.round() as u64;
-    Some(Quantile { value, percentile, samples: samples.len() })
+    let keep = least_disturbed(&shares, limit);
+    let kept: Vec<f64> = values.iter().zip(&keep).filter(|(_, &k)| k).map(|(&v, _)| v).collect();
+    let value = median(&kept)?.round() as u64;
+    Some(Chunked {
+        quantile: Quantile { value, percentile, samples: samples.len() },
+        runs,
+        kept: kept.len(),
+    })
+}
+
+/// A [`chunked_quantile`] and how many of its runs were measured.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Chunked {
+    pub quantile: Quantile,
+    pub runs: usize,
+    pub kept: usize,
 }
 
 /// Median of the values (mean of the middle pair for even counts).
@@ -153,7 +196,9 @@ mod tests {
         for s in &mut samples[200..220] {
             *s = 1_000;
         }
-        let q = chunked_quantile(&samples, 100, 99.0).unwrap();
+        let c = chunked_quantile(&samples, 100, 99.0, 0.0, |_| 0.0).unwrap();
+        assert_eq!((c.runs, c.kept), (5, 5));
+        let q = c.quantile;
         assert_eq!((q.value, q.samples), (10, 500));
         assert_eq!(q.percentile, 90.0, "100-call runs allow p90 under the ten-sample rule");
         // Pooled, the same burst owns the tail.
@@ -163,8 +208,35 @@ mod tests {
         // A remainder joins the last run; fewer than two runs' worth is
         // the plain percentile.
         let short: Vec<u64> = (1..=150).collect();
-        assert_eq!(chunked_quantile(&short, 100, 50.0), quantile(&short, 50.0));
-        assert!(chunked_quantile(&short[..15], 100, 50.0).is_none());
+        let c = chunked_quantile(&short, 100, 50.0, 0.0, |_| 0.0).unwrap();
+        assert_eq!(Some(c.quantile), quantile(&short, 50.0));
+        assert!(chunked_quantile(&short[..15], 100, 50.0, 0.0, |_| 0.0).is_none());
+    }
+
+    #[test]
+    fn chunked_quantile_leaves_out_runs_the_hypervisor_stole_from() {
+        // Four runs of 100 calls; while runs 1 and 2 executed, the host
+        // stole CPU time and every call there took 1000 ns instead of 10.
+        let mut samples = vec![10u64; 400];
+        for s in &mut samples[100..300] {
+            *s = 1_000;
+        }
+        let steal = |r: Range<usize>| if (100..300).contains(&r.start) { 0.2 } else { 0.0 };
+        let c = chunked_quantile(&samples, 100, 50.0, 0.02, steal).unwrap();
+        assert_eq!((c.quantile.value, c.runs, c.kept), (10, 4, 2));
+        // Counting every run, the median falls between the two kinds.
+        let all = chunked_quantile(&samples, 100, 50.0, 1.0, steal).unwrap();
+        assert_eq!((all.quantile.value, all.kept), (505, 4));
+    }
+
+    #[test]
+    fn least_disturbed_keeps_at_least_the_quieter_half() {
+        assert_eq!(least_disturbed(&[0.0, 0.3, 0.01, 0.0], 0.02), [true, false, true, true]);
+        // Three of four stretches stolen from: the two least stolen stay.
+        assert_eq!(least_disturbed(&[0.1, 0.3, 0.05, 0.0], 0.02), [false, false, true, true]);
+        // Ties go to the earlier stretch; odd counts round the half up.
+        assert_eq!(least_disturbed(&[0.1, 0.1, 0.1], 0.02), [true, true, false]);
+        assert!(least_disturbed(&[], 0.02).is_empty());
     }
 
     #[test]
